@@ -1,8 +1,10 @@
 //! Native benches of the solver-level kernels: FFT batches, the spectral
-//! Helmholtz solve (direct vs PCG — a DESIGN.md §6 ablation), and a full
-//! serial Navier–Stokes step. Uses the in-repo `nkt-testkit` harness and
+//! Helmholtz solve (direct vs PCG — a DESIGN.md §6 ablation), the banded
+//! factorization of the condensed boundary system, and a full serial
+//! Navier–Stokes step. Uses the in-repo `nkt-testkit` harness and
 //! emits `results/BENCH_solver_kernels.json`.
 
+use nkt_blas::dpbtrf;
 use nkt_fft::{Complex64, FftPlan, RealFft};
 use nkt_mesh::{rect_quads, BoundaryTag};
 use nkt_spectral::{HelmholtzProblem, SolveMethod};
@@ -30,7 +32,10 @@ fn bench_fft(b: &mut Bench) {
 }
 
 /// The direct-vs-iterative solver choice ablation (paper: direct for the
-/// Fourier code, PCG for ALE).
+/// Fourier code, PCG for ALE). Both paths solve the statically condensed
+/// boundary system: direct is one banded `dpbtrs` against the RCM-banded
+/// factor, PCG is Jacobi-preconditioned CG on the same Schur complement;
+/// the interior condensation and back-solves are common to both.
 fn bench_solver_choice(b: &mut Bench) {
     let mut g = b.group("solver_choice");
     g.sample_size(10);
@@ -65,6 +70,22 @@ fn bench_solver_choice(b: &mut Bench) {
     g.finish();
 }
 
+/// The banded factorization of the condensed boundary system
+/// (`dpbtrf`, RCM order) that every direct solver does once per matrix.
+fn bench_banded_factor(b: &mut Bench) {
+    let mut g = b.group("banded_factor");
+    g.sample_size(10);
+    let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 6, 6);
+    let prob = HelmholtzProblem::new(mesh, 4, 1.0, &[BoundaryTag::Wall]);
+    let schur = prob.system().schur().clone();
+    g.bench("6x6_p4", || {
+        let mut f = schur.clone();
+        dpbtrf(&mut f).expect("SPD boundary system");
+        f
+    });
+    g.finish();
+}
+
 fn bench_ns_step(b: &mut Bench) {
     use nektar::serial2d::{Serial2dSolver, SolverConfig};
     let mut g = b.group("navier_stokes");
@@ -87,6 +108,7 @@ fn main() {
     let mut b = Bench::new("solver_kernels");
     bench_fft(&mut b);
     bench_solver_choice(&mut b);
+    bench_banded_factor(&mut b);
     bench_ns_step(&mut b);
     b.finish();
 }

@@ -16,8 +16,8 @@ fn main() {
         nm: serial.nm,
         nq: serial.nq,
         nq_total: serial.nelems * serial.nq,
-        ndof: serial.nboundary,
-        kd: serial.kd_condensed,
+        nboundary: serial.nboundary,
+        kd_condensed: serial.kd_condensed,
         modes_per_rank: 1,
         nz: 2 * p,
         p,

@@ -82,6 +82,38 @@ pub fn dpbtrs(u: &BandedSym, b: &mut [f64]) -> Result<(), LapackError> {
     Ok(())
 }
 
+/// Exact floating-point operations of [`dpbtrf`] on an order-`n` matrix
+/// with semi-bandwidth `kd`, counted loop for loop (one per multiply,
+/// subtract, divide and square root).
+pub fn dpbtrf_flops(n: usize, kd: usize) -> f64 {
+    let mut flops = 0u64;
+    for j in 0..n {
+        let lo = j.saturating_sub(kd);
+        flops += 2 * (j - lo) as u64 + 1;
+        let hi = (j + kd).min(n - 1);
+        for kcol in (j + 1)..=hi {
+            let lo2 = kcol.saturating_sub(kd).max(lo);
+            flops += 2 * (j - lo2) as u64 + 1;
+        }
+    }
+    flops as f64
+}
+
+/// Exact floating-point operations of one [`dpbtrs`] (one right-hand
+/// side): a forward and a backward sweep.
+pub fn dpbtrs_flops(n: usize, kd: usize) -> f64 {
+    // Both sweeps touch min(j, kd) off-diagonal entries per column (the
+    // backward sweep mirrors the forward one).
+    let sweep: usize = (0..n).map(|j| 2 * j.min(kd) + 1).sum();
+    2.0 * sweep as f64
+}
+
+/// Exact floating-point operations of one [`dpotrs`] (two triangular
+/// solves of n² each).
+pub fn dpotrs_flops(n: usize) -> f64 {
+    2.0 * (n * n) as f64
+}
+
 /// Multi-RHS banded triangular solve: applies [`dpbtrs`] to each column of
 /// the column-major `m × nrhs` array `b` (with leading dimension `m`).
 pub fn dpbtrs_multi(u: &BandedSym, b: &mut [f64], nrhs: usize) -> Result<(), LapackError> {
@@ -307,6 +339,23 @@ mod tests {
                 assert!((utu[i + j * n] - dense[(i, j)]).abs() < 1e-10);
             }
         }
+    }
+
+    #[test]
+    fn flop_counts_agree_at_the_dense_and_diagonal_limits() {
+        for n in [1usize, 2, 7, 30] {
+            // A full band is the dense factorization: column j costs
+            // 2j + 1 flops for its diagonal and for each later column.
+            let dense: f64 = (0..n).map(|j| ((2 * j + 1) * (n - j)) as f64).sum();
+            assert_eq!(dpbtrf_flops(n, n - 1), dense, "n={n}");
+            assert_eq!(dpbtrf_flops(n, 5 * n), dense, "n={n}");
+            assert_eq!(dpbtrs_flops(n, n - 1), dpotrs_flops(n), "n={n}");
+            // A diagonal matrix: one sqrt per column; a divide per sweep.
+            assert_eq!(dpbtrf_flops(n, 0), n as f64);
+            assert_eq!(dpbtrs_flops(n, 0), 2.0 * n as f64);
+        }
+        // n = 3, kd = 1: columns cost 1+1, 3+1, 3 flops.
+        assert_eq!(dpbtrf_flops(3, 1), 9.0);
     }
 
     #[test]

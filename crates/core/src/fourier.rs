@@ -24,7 +24,7 @@ use crate::timers::{Stage, StageClock, StageTimer};
 use nkt_fft::{Complex64, RealFft};
 use nkt_mesh::{BoundaryTag, Mesh2d};
 use nkt_mpi::prelude::*;
-use nkt_spectral::{HelmholtzProblem, SolveMethod};
+use nkt_spectral::{CondensedSystem, HelmholtzProblem, SolveMethod};
 use std::collections::VecDeque;
 
 /// Configuration for a NekTar-F run.
@@ -266,33 +266,44 @@ impl NektarF {
 
     /// Sets the initial velocity from a physical-space function
     /// `f([x,y,z]) -> [u,v,w]` by z-DFT sampling + per-mode 2-D L2
-    /// projection.
+    /// projection. Each quadrature point is sampled on the `nz` planes
+    /// and transformed once for every owned mode and component; the mass
+    /// matrix does not depend on the mode, so one factorization serves
+    /// them all.
     pub fn set_initial(&mut self, f: impl Fn([f64; 3]) -> [f64; 3]) {
         let nz = self.cfg.nz;
         let fft = RealFft::new(nz);
         let lz = self.cfg.lz;
-        for (mi, k) in self.my_modes.clone().enumerate() {
-            for c in 0..3 {
-                let coeff = |x: [f64; 2], want_b: bool| -> f64 {
-                    let vals: Vec<f64> = (0..nz)
-                        .map(|j| f([x[0], x[1], lz * j as f64 / nz as f64])[c])
-                        .collect();
-                    let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
-                    fft.forward(&vals, &mut sp);
-                    if k == 0 {
-                        if want_b {
-                            0.0
-                        } else {
-                            sp[0].re / nz as f64
-                        }
-                    } else if want_b {
-                        -2.0 * sp[k].im / nz as f64
-                    } else {
-                        2.0 * sp[k].re / nz as f64
+        let modes = self.my_modes.clone();
+        let mut plane = vec![0.0; nz];
+        let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
+        // Field (mi, c, cos|sin) is number 2·(3·mi + c) + {0, 1}.
+        let mut coeffs = self.viscous[0]
+            .l2_project_fields(6 * modes.len(), |x, out| {
+                let samples: Vec<[f64; 3]> = (0..nz)
+                    .map(|j| f([x[0], x[1], lz * j as f64 / nz as f64]))
+                    .collect();
+                for c in 0..3 {
+                    for (p, s) in plane.iter_mut().zip(&samples) {
+                        *p = s[c];
                     }
-                };
-                self.fields[mi][c].a = self.viscous[mi].l2_project(|x| coeff(x, false));
-                self.fields[mi][c].b = self.viscous[mi].l2_project(|x| coeff(x, true));
+                    fft.forward(&plane, &mut sp);
+                    for (mi, k) in modes.clone().enumerate() {
+                        let (a, b) = if k == 0 {
+                            (sp[0].re / nz as f64, 0.0)
+                        } else {
+                            (2.0 * sp[k].re / nz as f64, -2.0 * sp[k].im / nz as f64)
+                        };
+                        out[2 * (3 * mi + c)] = a;
+                        out[2 * (3 * mi + c) + 1] = b;
+                    }
+                }
+            })
+            .into_iter();
+        for mode in &mut self.fields {
+            for comp in mode.iter_mut() {
+                comp.a = coeffs.next().expect("cos field");
+                comp.b = coeffs.next().expect("sin field");
             }
         }
         self.hist_vel.clear();
@@ -573,25 +584,15 @@ impl NektarF {
             // same matrices").
             let t0 = StageTimer::start(Stage::PressureSolve);
             let zeros = vec![0.0; ndofp];
-            let kdp = self.pressure[mi].matrix.kd();
+            self.pressure[mi].factor();
             let ksp = nkt_trace::span("banded_solve", "kernel");
             let (pa, _) =
                 self.pressure[mi].solve_with_rhs(rhs_a, &zeros, SolveMethod::BandedDirect);
             let (pb, _) =
                 self.pressure[mi].solve_with_rhs(rhs_b, &zeros, SolveMethod::BandedDirect);
-            ksp.end_v_args(
-                f64::NAN,
-                &[
-                    ("n", ndofp as f64),
-                    ("kd", kdp as f64),
-                    ("solves", 2.0),
-                    ("flops", 2.0 * 4.0 * ndofp as f64 * (kdp + 1) as f64),
-                ],
-            );
-            for _ in 0..2 {
-                self.recorder
-                    .work(Stage::PressureSolve, WorkItem::BandedSolve { n: ndofp, kd: kdp });
-            }
+            let sys = self.pressure[mi].system();
+            end_solve_span(ksp, sys, 2);
+            self.recorder.condensed_solves(Stage::PressureSolve, sys, 2);
             sc.add(Stage::PressureSolve, t0.stop());
 
             // Stage 6: viscous RHS from u** = uhat − dt ∇p.
@@ -659,27 +660,15 @@ impl NektarF {
                 &mut self.viscous[mi]
             };
             let mut comps: [ModeCoeffs; 3] = Default::default();
-            let rhs_taken = rhs;
-            let kdv = solver.matrix.kd();
+            solver.factor();
             let ksp = nkt_trace::span("banded_solve", "kernel");
-            for (c, (ra, rb)) in rhs_taken.into_iter().enumerate() {
+            for (c, (ra, rb)) in rhs.into_iter().enumerate() {
                 let (na, _) = solver.solve_with_rhs(ra, &ud, SolveMethod::BandedDirect);
                 let (nb, _) = solver.solve_with_rhs(rb, &ud, SolveMethod::BandedDirect);
                 comps[c] = ModeCoeffs { a: na, b: nb };
             }
-            ksp.end_v_args(
-                f64::NAN,
-                &[
-                    ("n", ndofv as f64),
-                    ("kd", kdv as f64),
-                    ("solves", 6.0),
-                    ("flops", 6.0 * 4.0 * ndofv as f64 * (kdv + 1) as f64),
-                ],
-            );
-            for _ in 0..6 {
-                self.recorder
-                    .work(Stage::ViscousSolve, WorkItem::BandedSolve { n: ndofv, kd: kdv });
-            }
+            end_solve_span(ksp, solver.system(), 6);
+            self.recorder.condensed_solves(Stage::ViscousSolve, solver.system(), 6);
             sc.add(Stage::ViscousSolve, t0.stop());
             new_fields.push(comps);
         }
@@ -755,6 +744,22 @@ impl NektarF {
     pub fn steps(&self) -> usize {
         self.steps_taken
     }
+}
+
+/// Closes a `banded_solve` kernel span over `solves` direct solves
+/// against the condensed system `sys`: its boundary-system order and
+/// bandwidth, and the exact flops of the boundary solves plus the
+/// interior back-solves.
+fn end_solve_span(span: nkt_trace::Span, sys: &CondensedSystem, solves: usize) {
+    span.end_v_args(
+        f64::NAN,
+        &[
+            ("n", sys.n() as f64),
+            ("kd", sys.kd() as f64),
+            ("solves", solves as f64),
+            ("flops", solves as f64 * sys.solve_flops()),
+        ],
+    );
 }
 
 fn write_planes(e: &mut nkt_ckpt::Enc, levels: &VecDeque<Vec<[ModePlane; 3]>>) {
@@ -913,6 +918,51 @@ mod tests {
         let expect = 0.25 * std::f64::consts::PI;
         for &e in &out {
             assert!((e - expect).abs() / expect < 1e-6, "E={e} vs {expect}");
+        }
+    }
+
+    /// The one-pass `set_initial` (one z-FFT per quadrature point for
+    /// every mode and component, one mass factorization per solver) gives
+    /// bitwise the state of projecting mode × component × cos/sin one at
+    /// a time, each against its own mode's mass matrix.
+    #[test]
+    fn one_pass_initial_projection_is_bitwise_per_mode_projection() {
+        use nkt_ckpt::Checkpointable;
+        let field = |x: [f64; 3]| {
+            let [u, v, _] = init_field(x);
+            [u + 0.1 * (3.0 * x[2]).sin(), v * (1.0 + 0.2 * x[2].cos()), 0.3 * (2.0 * x[2]).sin() * x[0]]
+        };
+        for p in [1usize, 2, 4] {
+            let out = run(p, cluster(NetId::T3e), move |c| {
+                let mut s = NektarF::new(c, &mesh(), cfg());
+                s.set_initial(field);
+                let one_pass = s.state_hash();
+                let (nz, lz) = (s.cfg.nz, s.cfg.lz);
+                let fft = RealFft::new(nz);
+                for (mi, k) in s.my_modes.clone().enumerate() {
+                    for comp in 0..3 {
+                        let coeff = |x: [f64; 2], want_b: bool| -> f64 {
+                            let vals: Vec<f64> = (0..nz)
+                                .map(|j| field([x[0], x[1], lz * j as f64 / nz as f64])[comp])
+                                .collect();
+                            let mut sp = vec![Complex64::ZERO; fft.spectrum_len()];
+                            fft.forward(&vals, &mut sp);
+                            match (k, want_b) {
+                                (0, false) => sp[0].re / nz as f64,
+                                (0, true) => 0.0,
+                                (_, false) => 2.0 * sp[k].re / nz as f64,
+                                (_, true) => -2.0 * sp[k].im / nz as f64,
+                            }
+                        };
+                        s.fields[mi][comp].a = s.viscous[mi].l2_project(|x| coeff(x, false));
+                        s.fields[mi][comp].b = s.viscous[mi].l2_project(|x| coeff(x, true));
+                    }
+                }
+                (one_pass, s.state_hash())
+            });
+            for (rank, (one_pass, per_mode)) in out.into_iter().enumerate() {
+                assert_eq!(one_pass, per_mode, "p={p} rank {rank}");
+            }
         }
     }
 

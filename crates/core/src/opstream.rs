@@ -51,6 +51,33 @@ pub enum WorkItem {
     },
 }
 
+/// Emits the kernel items of `nrhs` statically condensed direct solves
+/// against one factor: the banded boundary solves (order `n`,
+/// semi-bandwidth `kd`), then per element — given as (interior modes,
+/// boundary modes) — the right-hand-side condensation `Xᵀf_i`, the
+/// interior factor solve and the back-substitution `X u_b`, each over all
+/// right-hand sides. The native solvers and the paper-scale generator
+/// both describe their solves through this one function.
+pub fn condensed_solve_items(
+    n: usize,
+    kd: usize,
+    nrhs: usize,
+    elems: impl IntoIterator<Item = (usize, usize)>,
+    mut emit: impl FnMut(WorkItem),
+) {
+    for _ in 0..nrhs {
+        emit(WorkItem::BandedSolve { n, kd });
+    }
+    for (ni, nbe) in elems {
+        if ni == 0 {
+            continue;
+        }
+        emit(WorkItem::Gemm { m: nbe, n: nrhs, k: ni });
+        emit(WorkItem::Gemm { m: ni, n: nrhs, k: ni });
+        emit(WorkItem::Gemm { m: ni, n: nrhs, k: nbe });
+    }
+}
+
 /// One communication operation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CommItem {
@@ -204,6 +231,21 @@ impl Recorder {
     pub fn comm(&mut self, stage: Stage, item: CommItem) {
         if let Some(r) = &mut self.rec {
             r.comm(stage, item);
+        }
+    }
+
+    /// Records `nrhs` direct solves against the condensed system `sys`
+    /// (see [`condensed_solve_items`]) if enabled.
+    pub fn condensed_solves(
+        &mut self,
+        stage: Stage,
+        sys: &nkt_spectral::CondensedSystem,
+        nrhs: usize,
+    ) {
+        if let Some(r) = &mut self.rec {
+            condensed_solve_items(sys.n(), sys.kd(), nrhs, sys.elem_shapes(), |item| {
+                r.work(stage, item)
+            });
         }
     }
 

@@ -8,8 +8,9 @@
 //! streams against the 1999 machine/network models to regenerate
 //! Tables 1–3 and Figures 12–16.
 
-use crate::opstream::{CommItem, OpRecording, WorkItem};
+use crate::opstream::{condensed_solve_items, CommItem, OpRecording, WorkItem};
 use crate::timers::Stage;
+use std::iter::repeat_n;
 
 /// Discretisation parameters of a serial 2-D run (paper Table 1:
 /// "902 elements and polynomial order of 8 ... 230,000 degrees of
@@ -22,56 +23,18 @@ pub struct Serial2dShape {
     pub nm: usize,
     /// Quadrature points per element.
     pub nq: usize,
-    /// Pressure system size.
-    pub ndof_p: usize,
-    /// Pressure semi-bandwidth.
-    pub kd_p: usize,
-    /// Velocity system size.
-    pub ndof_v: usize,
-    /// Velocity semi-bandwidth.
-    pub kd_v: usize,
+    /// Global dof count.
+    pub ndof: usize,
     /// Splitting history depth in effect (2 after startup).
     pub j: usize,
-    /// Statically-condensed solve model: boundary-system size (0 = solve
-    /// the full system directly, as the small-scale native solver does).
+    /// Order of the statically condensed boundary system (the vertex and
+    /// edge dofs).
     pub nboundary: usize,
     /// RCM bandwidth of the condensed boundary system.
     pub kd_condensed: usize,
     /// Interior modes per element (the per-element dense back-solve of
     /// static condensation).
     pub nm_interior: usize,
-}
-
-impl Serial2dShape {
-    /// True when the paper-practice statically-condensed solve model is
-    /// active.
-    pub fn condensed(&self) -> bool {
-        self.nboundary > 0
-    }
-}
-
-/// Emits the op stream of one direct solve under the shape's solve model:
-/// either a full banded solve, or (paper practice at scale) a
-/// statically-condensed boundary solve plus per-element interior
-/// back-substitution.
-fn solve_items(rec: &mut OpRecording, stage: Stage, s: &Serial2dShape, nrhs: usize, full_n: usize, full_kd: usize) {
-    if s.condensed() {
-        for _ in 0..nrhs {
-            rec.work(stage, WorkItem::BandedSolve { n: s.nboundary, kd: s.kd_condensed });
-        }
-        // Interior back-solve: two triangular solves with the nm_i × nm_i
-        // elemental factor per rhs.
-        for _ in 0..s.nelems {
-            rec.work(
-                stage,
-                WorkItem::Gemm { m: s.nm_interior, n: 2 * nrhs, k: s.nm_interior },
-            );
-        }
-    } else {
-        for _ in 0..nrhs {
-            rec.work(stage, WorkItem::BandedSolve { n: full_n, kd: full_kd });
-        }
-    }
 }
 
 /// One serial time step's op stream (mirrors
@@ -111,15 +74,21 @@ pub fn serial_step_workload(s: &Serial2dShape) -> OpRecording {
     for _ in 0..s.nelems {
         rec.work(Stage::PressureRhs, WorkItem::Gemm { m: s.nm, n: 2, k: s.nq });
     }
-    // Stage 5: one banded pressure solve.
-    solve_items(&mut rec, Stage::PressureSolve, s, 1, s.ndof_p, s.kd_p);
+    // Stage 5: one condensed pressure solve (paper practice, and what
+    // the native solver runs).
+    let elem = (s.nm_interior, s.nm - s.nm_interior);
+    condensed_solve_items(s.nboundary, s.kd_condensed, 1, repeat_n(elem, s.nelems), |w| {
+        rec.work(Stage::PressureSolve, w)
+    });
     // Stage 6: pressure gradient + two RHS projections.
     for _ in 0..s.nelems {
         rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nq, n: 2, k: s.nm });
         rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nm, n: 2, k: s.nq });
     }
-    // Stage 7: two banded viscous solves.
-    solve_items(&mut rec, Stage::ViscousSolve, s, 2, s.ndof_v, s.kd_v);
+    // Stage 7: two condensed viscous solves.
+    condensed_solve_items(s.nboundary, s.kd_condensed, 2, repeat_n(elem, s.nelems), |w| {
+        rec.work(Stage::ViscousSolve, w)
+    });
     rec
 }
 
@@ -136,10 +105,10 @@ pub struct FourierShape {
     pub nq: usize,
     /// Total quadrature points per plane.
     pub nq_total: usize,
-    /// Assembled 2-D system size.
-    pub ndof: usize,
-    /// System semi-bandwidth.
-    pub kd: usize,
+    /// Order of the statically condensed 2-D boundary system.
+    pub nboundary: usize,
+    /// RCM bandwidth of the condensed boundary system.
+    pub kd_condensed: usize,
     /// Fourier modes owned per mode-owning rank (slab: per rank;
     /// pencil: per grid row, replicated over the row's columns).
     pub modes_per_rank: usize,
@@ -154,8 +123,7 @@ pub struct FourierShape {
     pub pc: usize,
     /// Splitting depth.
     pub j: usize,
-    /// Interior modes per element for the statically-condensed solve
-    /// model (0 = plain full banded solves).
+    /// Interior modes per element of the condensed solve.
     pub nm_interior: usize,
 }
 
@@ -273,54 +241,24 @@ pub fn fourier_step_workload(s: &FourierShape) -> OpRecording {
         },
     );
     // Stages 4-7 per mode.
+    let elem = (s.nm_interior, s.nm - s.nm_interior);
     for _ in 0..mpp {
         for _ in 0..s.nelems {
             rec.work(Stage::PressureRhs, WorkItem::Gemm { m: s.nm, n: 4, k: s.nq });
         }
-        // cos/sin share the factored matrix ("the real and imaginary
-        // parts of a Fourier mode sharing the same matrices"): the factor
-        // streams from memory once; the second RHS is compute-bound.
-        rec.work(Stage::PressureSolve, WorkItem::BandedSolve { n: s.ndof, kd: s.kd });
-        rec.work(
-            Stage::PressureSolve,
-            WorkItem::Stream {
-                flops: 4.0 * (s.ndof * (s.kd + 1)) as f64,
-                bytes: 32.0 * s.ndof as f64,
-                ws: 8 * s.ndof * (s.kd + 1),
-            },
-        );
-        if s.nm_interior > 0 {
-            for _ in 0..s.nelems {
-                rec.work(
-                    Stage::PressureSolve,
-                    WorkItem::Gemm { m: s.nm_interior, n: 4, k: s.nm_interior },
-                );
-            }
-        }
+        // cos/sin share the condensed factor ("the real and imaginary
+        // parts of a Fourier mode sharing the same matrices").
+        condensed_solve_items(s.nboundary, s.kd_condensed, 2, repeat_n(elem, s.nelems), |w| {
+            rec.work(Stage::PressureSolve, w)
+        });
         for _ in 0..s.nelems {
             rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nq, n: 4, k: s.nm });
             rec.work(Stage::ViscousRhs, WorkItem::Gemm { m: s.nm, n: 6, k: s.nq });
         }
-        // Six RHS (3 components x cos/sin) against one factored matrix.
-        rec.work(Stage::ViscousSolve, WorkItem::BandedSolve { n: s.ndof, kd: s.kd });
-        for _ in 0..5 {
-            rec.work(
-                Stage::ViscousSolve,
-                WorkItem::Stream {
-                    flops: 4.0 * (s.ndof * (s.kd + 1)) as f64,
-                    bytes: 32.0 * s.ndof as f64,
-                    ws: 8 * s.ndof * (s.kd + 1),
-                },
-            );
-        }
-        if s.nm_interior > 0 {
-            for _ in 0..s.nelems {
-                rec.work(
-                    Stage::ViscousSolve,
-                    WorkItem::Gemm { m: s.nm_interior, n: 12, k: s.nm_interior },
-                );
-            }
-        }
+        // Six RHS (3 components × cos/sin) against one factor.
+        condensed_solve_items(s.nboundary, s.kd_condensed, 6, repeat_n(elem, s.nelems), |w| {
+            rec.work(Stage::ViscousSolve, w)
+        });
     }
     rec
 }
@@ -480,10 +418,12 @@ mod tests {
     use nkt_mesh::rect_quads;
 
     /// The generated serial workload must match the instrumented solver's
-    /// actual op stream (structure and counts).
+    /// actual op stream: the same items per stage, and in the solve
+    /// stages the very same items — the condensed boundary solves plus
+    /// the interior back-solves.
     #[test]
     fn serial_workload_matches_recorder() {
-        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 3, 2);
         let order = 4;
         let cfg = SolverConfig { order, dt: 1e-3, nu: 0.01, scheme_order: 2, advect: true };
         let mut s = Serial2dSolver::new(mesh, cfg, |_| 0.0, |_| 0.0);
@@ -493,30 +433,41 @@ mod tests {
         s.step();
         let actual = s.recorder.take().unwrap();
         let basis = s.viscous.basis(0);
+        let sys = s.viscous.system();
+        let (ni, nbe) = sys.elem_shapes().next().unwrap();
+        assert_eq!(ni + nbe, basis.nmodes());
         let shape = Serial2dShape {
             nelems: s.viscous.mesh.nelems(),
             nm: basis.nmodes(),
             nq: basis.nquad(),
-            ndof_p: s.pressure.asm.ndof,
-            kd_p: s.pressure.matrix.kd(),
-            ndof_v: s.viscous.asm.ndof,
-            kd_v: s.viscous.matrix.kd(),
+            ndof: s.viscous.asm.ndof,
             j: 2,
-            nboundary: 0,
-            kd_condensed: 0,
-            nm_interior: 0,
+            nboundary: sys.n(),
+            kd_condensed: sys.kd(),
+            nm_interior: ni,
         };
+        assert_eq!(shape.nboundary, s.viscous.asm.nboundary);
+        assert!(shape.nboundary > 0 && shape.kd_condensed < shape.nboundary);
         let model = serial_step_workload(&shape);
-        // Same item counts per stage.
-        for stage in crate::timers::Stage::ALL {
-            let count = |r: &OpRecording| {
-                r.work.iter().filter(|(st, _)| *st == stage).count()
-            };
+        let items = |r: &OpRecording, stage: Stage| -> Vec<WorkItem> {
+            r.work.iter().filter(|(st, _)| *st == stage).map(|&(_, w)| w).collect()
+        };
+        for stage in Stage::ALL {
             assert_eq!(
-                count(&actual),
-                count(&model),
+                items(&actual, stage).len(),
+                items(&model, stage).len(),
                 "stage {stage:?}: item counts differ"
             );
+        }
+        for stage in [Stage::PressureSolve, Stage::ViscousSolve] {
+            let got = items(&actual, stage);
+            assert_eq!(got, items(&model, stage), "stage {stage:?}");
+            let banded = got.iter().filter(|w| **w == WorkItem::BandedSolve {
+                n: shape.nboundary,
+                kd: shape.kd_condensed,
+            });
+            let nrhs = if stage == Stage::PressureSolve { 1 } else { 2 };
+            assert_eq!(banded.count(), nrhs, "stage {stage:?}");
         }
         // Total flops agree (identical items).
         let fa = actual.total_flops();
@@ -534,14 +485,14 @@ mod tests {
             nm: 81,
             nq: 100,
             nq_total: 90_200,
-            ndof: 57_000,
-            kd: 600,
+            nboundary: 29_000,
+            kd_condensed: 250,
             modes_per_rank: 1,
             nz: 8,
             p: 4,
             pc: 1,
             j: 2,
-            nm_interior: 0,
+            nm_interior: 49,
         };
         let rec = fourier_step_workload(&shape);
         assert_eq!(rec.alltoall_count(), 2);
@@ -551,6 +502,65 @@ mod tests {
         let pencil = fourier_step_workload(&FourierShape { pc: 2, ..shape });
         assert_eq!(pencil.alltoall_count(), 2);
         assert_eq!(pencil.total_flops(), rec.total_flops());
+    }
+
+    /// The generated NekTar-F solve stages are, item for item, what the
+    /// native solver records: per owned mode two condensed pressure
+    /// solves and six viscous ones with their interior back-solves.
+    #[test]
+    fn fourier_workload_solves_match_recorder() {
+        use crate::fourier::{FourierConfig, NektarF};
+        use nkt_mpi::World;
+        use nkt_net::{cluster, NetId};
+        let cfg = FourierConfig {
+            order: 4,
+            dt: 1e-3,
+            nu: 0.05,
+            nz: 4,
+            lz: 2.0 * std::f64::consts::PI,
+            scheme_order: 2,
+        };
+        let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 3, 2);
+        let out = World::builder().ranks(1).net(cluster(NetId::T3e)).run(|c| {
+            let mut s = NektarF::new(c, &mesh, cfg.clone());
+            s.set_initial(|x| [x[1].sin(), 0.0, 0.0]);
+            s.step(c);
+            s.recorder = Recorder::enabled();
+            s.step(c);
+            let prob = &s.viscous[0];
+            let basis = prob.basis(0);
+            let (ni, _) = prob.system().elem_shapes().next().unwrap();
+            let shape = FourierShape {
+                nelems: prob.mesh.nelems(),
+                nm: basis.nmodes(),
+                nq: basis.nquad(),
+                nq_total: s.nq_total,
+                nboundary: prob.system().n(),
+                kd_condensed: prob.system().kd(),
+                modes_per_rank: s.my_modes.len(),
+                nz: cfg.nz,
+                p: 1,
+                pc: 1,
+                j: 2,
+                nm_interior: ni,
+            };
+            assert_eq!(shape.nboundary, s.pressure[0].system().n());
+            (s.recorder.take().unwrap(), fourier_step_workload(&shape), shape)
+        });
+        let (actual, model, shape) = &out[0];
+        assert_eq!(shape.modes_per_rank, 2);
+        assert!(shape.nm_interior > 0 && shape.kd_condensed < shape.nboundary);
+        let items = |r: &OpRecording, stage: Stage| -> Vec<WorkItem> {
+            r.work.iter().filter(|(st, _)| *st == stage).map(|&(_, w)| w).collect()
+        };
+        for (stage, nrhs) in [(Stage::PressureSolve, 2), (Stage::ViscousSolve, 6)] {
+            let got = items(actual, stage);
+            assert_eq!(got, items(model, stage), "stage {stage:?}");
+            let banded = got.iter().filter(|w| {
+                **w == WorkItem::BandedSolve { n: shape.nboundary, kd: shape.kd_condensed }
+            });
+            assert_eq!(banded.count(), nrhs * shape.modes_per_rank, "stage {stage:?}");
+        }
     }
 
     #[test]

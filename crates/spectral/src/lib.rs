@@ -14,14 +14,19 @@
 //!   Helmholtz matrices evaluated by Gauss-Jacobi quadrature.
 //! * [`assembly`] — global C0 numbering (boundary dofs first, paper
 //!   Figure 10), edge-orientation sign handling, Dirichlet lifting.
-//! * [`solve`] — global Helmholtz/Poisson solvers: banded direct
-//!   (LAPACK-style `dpbtrf`, the paper's serial solver) and diagonally
-//!   preconditioned conjugate gradients (the paper's ALE solver).
+//! * [`condensed`] — static condensation: per-element interior factors
+//!   and the Schur-complement boundary system over the vertex and edge
+//!   dofs, banded in reverse Cuthill–McKee order ([`rcm`]).
+//! * [`solve`] — global Helmholtz/Poisson solvers on the condensed
+//!   system: banded direct (LAPACK-style `dpbtrf`, the paper's serial
+//!   solver) and diagonally preconditioned conjugate gradients (the
+//!   paper's ALE solver).
 
 #![allow(clippy::needless_range_loop)]
 #![allow(clippy::too_many_arguments)]
 pub mod assembly;
 pub mod basis1d;
+pub mod condensed;
 pub mod element;
 pub mod pcg;
 pub mod quadbasis;
@@ -31,8 +36,9 @@ pub mod tribasis;
 
 pub use assembly::{Assembly, DofKind};
 pub use basis1d::Basis1d;
+pub use condensed::{BoundaryLayout, CondensedSystem};
 pub use element::{ElemOps, ElementMatrices};
 pub use quadbasis::QuadBasis;
-pub use rcm::{rcm_bandwidth, rcm_order};
+pub use rcm::rcm_order;
 pub use solve::{HelmholtzProblem, SolveMethod, SolveStats};
 pub use tribasis::TriBasis;

@@ -3,8 +3,9 @@
 //! The paper's direct solvers exploit "the symmetric and banded nature of
 //! the matrix" (Figure 10); getting a usable band out of an unstructured
 //! mesh requires a bandwidth-reducing permutation, which is what RCM
-//! provides. Used by the solvers' statically-condensed boundary systems
-//! and by the model replay to size paper-scale banded solves honestly.
+//! provides. It numbers the statically condensed boundary systems
+//! ([`crate::condensed::BoundaryLayout`]) that the direct solvers factor
+//! and the model replay sizes at paper scale.
 
 use std::collections::VecDeque;
 
@@ -102,16 +103,13 @@ pub fn bandwidth_under(perm: &[usize], cliques: &[Vec<usize>]) -> usize {
     kd
 }
 
-/// Convenience: RCM bandwidth of a clique-defined system.
-pub fn rcm_bandwidth(n: usize, cliques: &[Vec<usize>]) -> usize {
-    let adj = adjacency_from_cliques(n, cliques);
-    let perm = rcm_order(&adj);
-    bandwidth_under(&perm, cliques)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rcm_bandwidth(n: usize, cliques: &[Vec<usize>]) -> usize {
+        bandwidth_under(&rcm_order(&adjacency_from_cliques(n, cliques)), cliques)
+    }
 
     /// 2-D grid graph cliques: each cell couples its 4 corners.
     fn grid_cliques(nx: usize, ny: usize) -> (usize, Vec<Vec<usize>>) {

@@ -6,21 +6,23 @@
 //! the splitting scheme; λ > 0 the viscous Helmholtz step.
 
 use crate::assembly::Assembly;
+use crate::condensed::CondensedSystem;
 use crate::element::{elem_geometry, ElemOps, ElementMatrices, Expansion};
-use crate::pcg::{pcg, PcgResult};
 use crate::quadbasis::QuadBasis;
 use crate::tribasis::TriBasis;
-use nkt_blas::{dpbtrf, dpbtrs, BandedSym};
 use nkt_mesh::{BoundaryTag, ElemKind, Mesh2d};
 use nkt_poly::quadrature::zwglj;
 
 /// Linear solver choice (the paper uses both: banded direct for the
-/// serial/Fourier code, diagonal PCG for ALE).
+/// serial/Fourier code, diagonal PCG for ALE). Both run on the statically
+/// condensed boundary system ([`CondensedSystem`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SolveMethod {
-    /// Banded symmetric Cholesky (`dpbtrf`/`dpbtrs`).
+    /// Banded symmetric Cholesky (`dpbtrf`/`dpbtrs`) of the RCM-numbered
+    /// boundary system.
     BandedDirect,
-    /// Diagonally preconditioned conjugate gradients.
+    /// Diagonally preconditioned conjugate gradients on the boundary
+    /// system.
     Pcg {
         /// Relative residual tolerance.
         tol: f64,
@@ -34,7 +36,7 @@ pub enum SolveMethod {
 pub struct SolveStats {
     /// Free (non-Dirichlet) dofs.
     pub nfree: usize,
-    /// Semi-bandwidth of the assembled system.
+    /// Semi-bandwidth of the condensed boundary system.
     pub bandwidth: usize,
     /// PCG iterations (0 for the direct path).
     pub iterations: usize,
@@ -55,17 +57,17 @@ pub struct HelmholtzProblem {
     pub asm: Assembly,
     /// Per-element operators.
     pub ops: Vec<ElemOps>,
-    /// Assembled global matrix (with Dirichlet rows replaced by identity).
-    pub matrix: BandedSym,
-    /// Cholesky factor (filled on first direct solve).
-    factor: Option<BandedSym>,
-    /// Factored global mass matrix (filled on first L2 projection).
-    mass_factor: Option<BandedSym>,
+    /// The statically condensed Helmholtz system (Dirichlet dofs
+    /// constrained).
+    system: CondensedSystem,
+    /// The condensed, unconstrained global mass matrix (built on the
+    /// first L2 projection).
+    mass: Option<CondensedSystem>,
     dirichlet_tags: Vec<BoundaryTag>,
 }
 
 impl HelmholtzProblem {
-    /// Builds and assembles the problem. `dirichlet_tags` lists the
+    /// Builds the problem and condenses it. `dirichlet_tags` lists the
     /// essential boundary tags; all other boundaries are natural
     /// (zero-flux Neumann — the paper's outflow/sides).
     pub fn new(mesh: Mesh2d, order: usize, lambda: f64, dirichlet_tags: &[BoundaryTag]) -> Self {
@@ -97,41 +99,8 @@ impl HelmholtzProblem {
             };
             ops.push(ElemOps { basis_id, geom, mats });
         }
-        // Assemble the global Helmholtz matrix into banded storage.
-        let kd = asm.bandwidth();
-        let mut matrix = BandedSym::zeros(asm.ndof, kd);
-        for ei in 0..mesh.nelems() {
-            let h = ops[ei].mats.helmholtz(lambda);
-            let nm = ops[ei].mats.nm;
-            let dofs = &asm.elem_dofs[ei];
-            for a in 0..nm {
-                let (ga, sa) = dofs[a];
-                for b in a..nm {
-                    let (gb, sb) = dofs[b];
-                    let v = sa * sb * h[a + b * nm];
-                    // Off-diagonal elemental pairs contribute to both
-                    // (a,b) and (b,a); symmetric storage holds one copy,
-                    // which is exactly the (min,max) entry added here.
-                    matrix.add(ga.min(gb), ga.max(gb), v);
-                }
-            }
-        }
-        // Replace Dirichlet rows/cols with identity (done lazily per solve
-        // for the RHS; the matrix modification happens once here).
-        let ndof = asm.ndof;
-        for d in 0..ndof {
-            if !asm.dirichlet[d] {
-                continue;
-            }
-            let lo = d.saturating_sub(kd);
-            let hi = (d + kd).min(ndof - 1);
-            for i in lo..=hi {
-                if i != d {
-                    matrix.set(i.min(d), i.max(d), 0.0);
-                }
-            }
-            matrix.set(d, d, 1.0);
-        }
+        let system =
+            CondensedSystem::new(&asm, &asm.dirichlet, |ei| ops[ei].mats.helmholtz(lambda));
         HelmholtzProblem {
             mesh,
             order,
@@ -140,9 +109,8 @@ impl HelmholtzProblem {
             tri_basis,
             asm,
             ops,
-            matrix,
-            factor: None,
-            mass_factor: None,
+            system,
+            mass: None,
             dirichlet_tags: dirichlet_tags.to_vec(),
         }
     }
@@ -156,6 +124,45 @@ impl HelmholtzProblem {
         }
     }
 
+    /// The condensed Helmholtz system: boundary-system order and
+    /// bandwidth, per-element shapes, exact flop counts.
+    pub fn system(&self) -> &CondensedSystem {
+        &self.system
+    }
+
+    /// Global load vectors ∫ f_c φ of `nfields` functions sampled
+    /// together: `f(x, out)` writes every field's value at `x` into
+    /// `out`, once per quadrature point.
+    fn load_vectors(
+        &self,
+        nfields: usize,
+        mut f: impl FnMut([f64; 2], &mut [f64]),
+    ) -> Vec<Vec<f64>> {
+        let mut loads = vec![vec![0.0; self.asm.ndof]; nfields];
+        for ei in 0..self.mesh.nelems() {
+            let basis = self.basis(ei);
+            let geom = &self.ops[ei].geom;
+            let nq = basis.nquad();
+            let mut vals = vec![0.0; nq * nfields];
+            for (q, out) in vals.chunks_exact_mut(nfields).enumerate() {
+                f(geom.x[q], out);
+            }
+            let mut local = vec![0.0; basis.nmodes()];
+            for (c, load) in loads.iter_mut().enumerate() {
+                for (m, lm) in local.iter_mut().enumerate() {
+                    let vm = &basis.val()[m];
+                    let mut s = 0.0;
+                    for q in 0..nq {
+                        s += geom.jw[q] * vals[q * nfields + c] * vm[q];
+                    }
+                    *lm = s;
+                }
+                self.asm.scatter_add(ei, &local, load);
+            }
+        }
+        loads
+    }
+
     /// Builds the global load vector ∫ f φ + Dirichlet lift for boundary
     /// data `g`, then solves. Returns (global coefficients, stats).
     pub fn solve(
@@ -164,22 +171,7 @@ impl HelmholtzProblem {
         g: impl Fn([f64; 2]) -> f64,
         method: SolveMethod,
     ) -> (Vec<f64>, SolveStats) {
-        let mut rhs = vec![0.0; self.asm.ndof];
-        for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let geom = &self.ops[ei].geom;
-            let nm = basis.nmodes();
-            let mut local = vec![0.0; nm];
-            for (m, lm) in local.iter_mut().enumerate() {
-                let vm = &basis.val()[m];
-                let mut s = 0.0;
-                for q in 0..basis.nquad() {
-                    s += geom.jw[q] * f(geom.x[q]) * vm[q];
-                }
-                *lm = s;
-            }
-            self.asm.scatter_add(ei, &local, &mut rhs);
-        }
+        let rhs = self.load_vectors(1, |x, out| out[0] = f(x)).pop().expect("one field");
         let u_d = self.dirichlet_values(&g);
         self.solve_with_rhs(rhs, &u_d, method)
     }
@@ -237,143 +229,69 @@ impl HelmholtzProblem {
         u_d
     }
 
-    /// Solves K u = rhs with Dirichlet values `u_d` imposed.
+    /// Solves K u = rhs with Dirichlet values `u_d` imposed: condenses
+    /// the right-hand side, solves the boundary system, back-solves the
+    /// element interiors.
     pub fn solve_with_rhs(
         &mut self,
         mut rhs: Vec<f64>,
         u_d: &[f64],
         method: SolveMethod,
     ) -> (Vec<f64>, SolveStats) {
-        let ndof = self.asm.ndof;
-        let kd = self.matrix.kd();
-        // Move known boundary data to the RHS: rhs_f -= K_fd u_d. The
-        // assembled matrix already has Dirichlet rows/cols identity, so we
-        // rebuild the coupling from elemental matrices.
-        for ei in 0..self.mesh.nelems() {
-            let h = self.ops[ei].mats.helmholtz(self.lambda);
-            let nm = self.ops[ei].mats.nm;
-            let dofs = &self.asm.elem_dofs[ei];
-            for a in 0..nm {
-                let (ga, sa) = dofs[a];
-                if self.asm.dirichlet[ga] {
-                    continue;
-                }
-                let mut corr = 0.0;
-                for b in 0..nm {
-                    let (gb, sb) = dofs[b];
-                    if self.asm.dirichlet[gb] {
-                        corr += sa * sb * h[a + b * nm] * u_d[gb];
-                    }
-                }
-                rhs[ga] -= corr;
-            }
-        }
-        for d in 0..ndof {
-            if self.asm.dirichlet[d] {
-                rhs[d] = u_d[d];
-            }
-        }
-        let iterations = match method {
-            SolveMethod::BandedDirect => {
-                if self.factor.is_none() {
-                    let mut f = self.matrix.clone();
-                    dpbtrf(&mut f).expect("global Helmholtz matrix must be SPD");
-                    self.factor = Some(f);
-                }
-                dpbtrs(self.factor.as_ref().expect("factored above"), &mut rhs)
-                    .expect("banded solve");
-                0
-            }
-            SolveMethod::Pcg { tol, max_iter } => {
-                let m = &self.matrix;
-                let diag: Vec<f64> = (0..ndof).map(|i| m.get(i, i)).collect();
-                let mut x = vec![0.0; ndof];
-                // Seed the constrained entries so identity rows are exact.
-                for d in 0..ndof {
-                    if self.asm.dirichlet[d] {
-                        x[d] = rhs[d];
-                    }
-                }
-                let b = rhs.clone();
-                let res: PcgResult = pcg(
-                    |p, out| m.matvec(p, out),
-                    &diag,
-                    &b,
-                    &mut x,
-                    tol,
-                    max_iter,
-                );
-                assert!(res.converged, "PCG failed to converge: {res:?}");
-                rhs = x;
-                res.iterations
-            }
-        };
-        let nfree = ndof - self.asm.ndirichlet();
-        (rhs, SolveStats { nfree, bandwidth: kd, iterations })
+        let iterations = self.system.solve(&mut rhs, u_d, method);
+        let nfree = self.asm.ndof - self.asm.ndirichlet();
+        (rhs, SolveStats { nfree, bandwidth: self.system.kd(), iterations })
+    }
+
+    /// Factors the condensed system now; otherwise the first direct
+    /// solve does.
+    pub fn factor(&mut self) {
+        self.system.factor();
     }
 
     /// Pins dof `d` to a Dirichlet value (used to remove the null space of
-    /// the pure-Neumann pressure Poisson problem). Must be called before
-    /// the first solve.
+    /// the pure-Neumann pressure Poisson problem). Pinning after a direct
+    /// solve refactors on the next; pinning an interior dof condenses the
+    /// system anew.
     pub fn pin_dof(&mut self, d: usize) {
         assert!(d < self.asm.ndof);
         if self.asm.dirichlet[d] {
             return;
         }
         self.asm.dirichlet[d] = true;
-        let kd = self.matrix.kd();
-        let ndof = self.asm.ndof;
-        let lo = d.saturating_sub(kd);
-        let hi = (d + kd).min(ndof - 1);
-        for i in lo..=hi {
-            if i != d {
-                self.matrix.set(i.min(d), i.max(d), 0.0);
-            }
+        if d < self.asm.nboundary {
+            self.system.constrain(d);
+        } else {
+            let (ops, lambda) = (&self.ops, self.lambda);
+            self.system = CondensedSystem::new(&self.asm, &self.asm.dirichlet, |ei| {
+                ops[ei].mats.helmholtz(lambda)
+            });
         }
-        self.matrix.set(d, d, 1.0);
-        self.factor = None;
     }
 
     /// Global L2 projection of `f` onto the expansion: solves M c = ∫ f φ
     /// with the assembled (unconstrained) mass matrix.
     pub fn l2_project(&mut self, f: impl Fn([f64; 2]) -> f64) -> Vec<f64> {
-        if self.mass_factor.is_none() {
-            let kd = self.asm.bandwidth();
-            let mut m = BandedSym::zeros(self.asm.ndof, kd);
-            for ei in 0..self.mesh.nelems() {
-                let mats = &self.ops[ei].mats;
-                let nm = mats.nm;
-                let dofs = &self.asm.elem_dofs[ei];
-                for a in 0..nm {
-                    let (ga, sa) = dofs[a];
-                    for b in a..nm {
-                        let (gb, sb) = dofs[b];
-                        let v = sa * sb * mats.mass[a + b * nm];
-                        m.add(ga.min(gb), ga.max(gb), v);
-                    }
-                }
-            }
-            dpbtrf(&mut m).expect("global mass matrix must be SPD");
-            self.mass_factor = Some(m);
+        self.l2_project_fields(1, |x, out| out[0] = f(x)).pop().expect("one field")
+    }
+
+    /// L2 projections of `nfields` functions sampled together: `f(x, out)`
+    /// writes every field's value at `x` into `out`, once per quadrature
+    /// point; one mass factorization serves all fields.
+    pub fn l2_project_fields(
+        &mut self,
+        nfields: usize,
+        f: impl FnMut([f64; 2], &mut [f64]),
+    ) -> Vec<Vec<f64>> {
+        let mut loads = self.load_vectors(nfields, f);
+        let mass = self.mass.get_or_insert_with(|| {
+            let free = vec![false; self.asm.ndof];
+            CondensedSystem::new(&self.asm, &free, |ei| self.ops[ei].mats.mass.clone())
+        });
+        for load in &mut loads {
+            mass.solve(load, &[], SolveMethod::BandedDirect);
         }
-        let mut rhs = vec![0.0; self.asm.ndof];
-        for ei in 0..self.mesh.nelems() {
-            let basis = self.basis(ei);
-            let geom = &self.ops[ei].geom;
-            let mut local = vec![0.0; basis.nmodes()];
-            for (m, lm) in local.iter_mut().enumerate() {
-                let vm = &basis.val()[m];
-                let mut s = 0.0;
-                for q in 0..basis.nquad() {
-                    s += geom.jw[q] * f(geom.x[q]) * vm[q];
-                }
-                *lm = s;
-            }
-            self.asm.scatter_add(ei, &local, &mut rhs);
-        }
-        dpbtrs(self.mass_factor.as_ref().expect("factored above"), &mut rhs)
-            .expect("mass solve");
-        rhs
+        loads
     }
 
     /// L2 error of a coefficient vector against an exact solution.
@@ -443,20 +361,32 @@ mod tests {
         assert!(stats.nfree > 0);
     }
 
+    /// p-convergence on the manufactured solution, as measured rates:
+    /// σ_p = ln(e_p / e_{p+1}). The solution is entire, so convergence is
+    /// faster than exponential — σ_p grows with p — and the mean rate over
+    /// p = 2..9 is 2.85 (the error falls ~17× per order).
     #[test]
     fn poisson_spectral_convergence_in_p() {
         let exact = |x: [f64; 2]| (std::f64::consts::PI * x[0]).sin() * (std::f64::consts::PI * x[1]).sin();
         let f = move |x: [f64; 2]| 2.0 * std::f64::consts::PI.powi(2) * exact(x);
-        let mut last = f64::MAX;
-        for p in [2usize, 4, 6, 8] {
-            let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
-            let mut prob = HelmholtzProblem::new(mesh, p, 0.0, ALL_DIRICHLET);
-            let (u, _) = prob.solve(f, |_| 0.0, SolveMethod::BandedDirect);
-            let err = prob.l2_error(&u, exact);
-            assert!(err < last, "p={p}: {err} !< {last}");
-            last = err;
+        let errs: Vec<f64> = (2usize..=9)
+            .map(|p| {
+                let mesh = rect_quads(0.0, 1.0, 0.0, 1.0, 2, 2);
+                let mut prob = HelmholtzProblem::new(mesh, p, 0.0, ALL_DIRICHLET);
+                let (u, _) = prob.solve(f, |_| 0.0, SolveMethod::BandedDirect);
+                prob.l2_error(&u, exact)
+            })
+            .collect();
+        let rates: Vec<f64> = errs.windows(2).map(|w| (w[0] / w[1]).ln()).collect();
+        for (i, w) in rates.windows(2).enumerate() {
+            assert!(w[1] > w[0], "rate must grow with p: σ_{} = {} ≤ σ_{} = {}", i + 3, w[1], i + 2, w[0]);
         }
-        assert!(last < 1e-7, "final error {last}");
+        assert!(rates[0] > 2.3, "σ_2 = {}", rates[0]);
+        let mean = (errs[0] / errs[errs.len() - 1]).ln() / rates.len() as f64;
+        assert!((mean - 2.85).abs() < 0.05, "mean rate {mean} (errors {errs:?})");
+        // Rates alone would pass errors all too large by one factor.
+        let e8 = errs[8 - 2];
+        assert!(e8 < 1e-7, "p=8 error {e8}");
     }
 
     #[test]
