@@ -1,8 +1,9 @@
 //! Native benches of the solver-level kernels: FFT batches, the spectral
 //! Helmholtz solve (direct vs PCG — a DESIGN.md §6 ablation), the banded
-//! factorization of the condensed boundary system, and a full serial
-//! Navier–Stokes step. Uses the in-repo `nkt-testkit` harness and
-//! emits `results/BENCH_solver_kernels.json`.
+//! factorization of the condensed boundary system, the fixed-order hex
+//! elemental apply of NekTar-ALE, and a full serial Navier–Stokes step.
+//! Uses the in-repo `nkt-testkit` harness and emits
+//! `results/BENCH_solver_kernels.json`.
 
 use nkt_blas::dpbtrf;
 use nkt_fft::{Complex64, FftPlan, RealFft};
@@ -86,6 +87,24 @@ fn bench_banded_factor(b: &mut Bench) {
     g.finish();
 }
 
+/// One elemental (K + λM) apply on an order-p hex box: the sum-factorized
+/// kernel every NekTar-ALE PCG iteration runs once per owned element.
+fn bench_hex_apply(b: &mut Bench) {
+    use nektar::hex3d::{apply_elem, Oper1d};
+    let mut g = b.group("hex_apply");
+    for &p in &[2usize, 4] {
+        let op = Oper1d::new(p);
+        let n3 = op.nm * op.nm * op.nm;
+        let x: Vec<f64> = (0..n3).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut y = vec![0.0; n3];
+        g.bench(&format!("p{p}"), || {
+            apply_elem(&op, 0.5, 1.0, 2.0, 3.0, std::hint::black_box(&x), &mut y);
+            y[0]
+        });
+    }
+    g.finish();
+}
+
 fn bench_ns_step(b: &mut Bench) {
     use nektar::serial2d::{Serial2dSolver, SolverConfig};
     let mut g = b.group("navier_stokes");
@@ -109,6 +128,7 @@ fn main() {
     bench_fft(&mut b);
     bench_solver_choice(&mut b);
     bench_banded_factor(&mut b);
+    bench_hex_apply(&mut b);
     bench_ns_step(&mut b);
     b.finish();
 }

@@ -214,36 +214,45 @@ impl NektarAle {
         self.vel_op.op1.basis.nquad().pow(3)
     }
 
-    /// Sets the initial velocity by parallel L2 projection (mass-matrix
-    /// PCG solve). Collective.
+    /// Sets the initial velocity by parallel L2 projection: `f` is
+    /// evaluated once per quadrature point for all three components, and
+    /// the three mass-matrix systems are solved by one lockstep
+    /// [`HexHelmholtz::pcg_many`]. Collective.
     pub fn set_initial(&mut self, comm: &mut Comm, f: impl Fn([f64; 3]) -> [f64; 3]) {
-        for c in 0..3 {
-            let mut rhs = vec![0.0; self.vel_op.nlocal()];
-            self.project_rhs(&mut rhs, |x| f(x)[c]);
-            self.vel_op.gs.exchange(comm, &mut rhs, ReduceOp::Sum);
-            let mut x = vec![0.0; self.vel_op.nlocal()];
-            let mut rec = Recorder::disabled();
-            self.mass_op
-                .pcg(comm, &rhs, &mut x, self.cfg.pcg_tol, self.cfg.pcg_max_iter, &mut rec);
-            self.u[c] = x;
+        let n = self.vel_op.nlocal();
+        let mut rhs: [Vec<f64>; 3] = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        self.project_rhs(&mut rhs, f);
+        for r in &mut rhs {
+            self.vel_op.gs.exchange(comm, r, ReduceOp::Sum);
         }
+        let mut u: [Vec<f64>; 3] = [vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let [u0, u1, u2] = &mut u;
+        self.mass_op.pcg_many(
+            comm,
+            &[&rhs[0], &rhs[1], &rhs[2]],
+            &mut [u0, u1, u2],
+            self.cfg.pcg_tol,
+            self.cfg.pcg_max_iter,
+            &mut Recorder::disabled(),
+        );
+        self.u = u;
         self.hist_vel.clear();
         self.hist_n.clear();
         self.time = 0.0;
         self.steps_taken = 0;
     }
 
-    /// Builds ∫ f φ elementwise into `rhs` (local, unsummed).
-    fn project_rhs(&self, rhs: &mut [f64], f: impl Fn([f64; 3]) -> f64) {
+    /// Builds ∫ f_c φ elementwise into `rhs[c]` for the three components
+    /// of `f` (local, unsummed), evaluating `f` once per quadrature point.
+    fn project_rhs(&self, rhs: &mut [Vec<f64>; 3], f: impl Fn([f64; 3]) -> [f64; 3]) {
         let op = &self.vel_op.op1;
         let nq = op.basis.nquad();
-        let nm1 = self.cfg.order + 1;
+        let nq3 = nq * nq * nq;
+        let mut fq = [vec![0.0; nq3], vec![0.0; nq3], vec![0.0; nq3]];
         for (le, &e) in self.vel_op.my_elems.iter().enumerate() {
             let (lo, _) = elem_box(&self.mesh, e).expect("box");
             let [hx, hy, hz] = self.vel_op.scales[le];
             let jac = hx * hy * hz / 8.0;
-            // Evaluate f at the tensor points once.
-            let mut fq = vec![0.0; nq * nq * nq];
             for qz in 0..nq {
                 for qy in 0..nq {
                     for qx in 0..nq {
@@ -252,18 +261,24 @@ impl NektarAle {
                             lo[1] + hy * (op.basis.z[qy] + 1.0) / 2.0,
                             lo[2] + hz * (op.basis.z[qz] + 1.0) / 2.0,
                         ];
-                        fq[qx + qy * nq + qz * nq * nq] = f(x)
-                            * op.basis.w[qx]
-                            * op.basis.w[qy]
-                            * op.basis.w[qz]
-                            * jac;
+                        let v = f(x);
+                        let q = qx + qy * nq + qz * nq * nq;
+                        for c in 0..3 {
+                            fq[c][q] = v[c]
+                                * op.basis.w[qx]
+                                * op.basis.w[qy]
+                                * op.basis.w[qz]
+                                * jac;
+                        }
                     }
                 }
             }
             // Project: rhs_m = sum_q B_m(q) fq(q), sum-factorized.
-            let proj = quad_to_modal(op, &fq);
-            for m in 0..nm1 * nm1 * nm1 {
-                rhs[self.vel_op.elem_local[le][m]] += proj[m];
+            for (r, fc) in rhs.iter_mut().zip(&fq) {
+                let proj = quad_to_modal(op, fc);
+                for (m, &l) in self.vel_op.elem_local[le].iter().enumerate() {
+                    r[l] += proj[m];
+                }
             }
         }
     }
@@ -532,8 +547,9 @@ impl NektarAle {
         }
         sc.add(Stage::ViscousRhs, t0.stop());
 
-        // Stage 7: three velocity Helmholtz PCG solves + the ALE extra
-        // mesh-velocity Helmholtz solve.
+        // Stage 7: three velocity Helmholtz PCG solves (in lockstep, one
+        // fused reduction set) + the ALE extra mesh-velocity Helmholtz
+        // solve.
         let w0 = comm.wtime();
         let t0 = StageTimer::start_v(Stage::ViscousSolve, w0);
         let solver: &HexHelmholtz = if j < self.scheme.order {
@@ -541,22 +557,19 @@ impl NektarAle {
         } else {
             &self.vel_op
         };
-        let mut vit = 0usize;
-        let taken = std::mem::take(&mut self.u);
-        let mut newu: [Vec<f64>; 3] = Default::default();
-        for (c, warm) in taken.into_iter().enumerate() {
-            let mut x = warm; // previous velocity as initial guess
-            vit += solver.pcg(
+        // The previous velocity is each component's initial guess.
+        let [u0, u1, u2] = &mut self.u;
+        let vit: usize = solver
+            .pcg_many(
                 comm,
-                &vrhs[c],
-                &mut x,
+                &[&vrhs[0], &vrhs[1], &vrhs[2]],
+                &mut [u0, u1, u2],
                 self.cfg.pcg_tol,
                 self.cfg.pcg_max_iter,
                 &mut self.recorder,
-            );
-            newu[c] = x;
-        }
-        self.u = newu;
+            )
+            .iter()
+            .sum();
         // ALE extra: mesh-velocity Laplace solve (Dirichlet: body speed on
         // the wall, zero on the outer boundary).
         let mit = if self.cfg.motion_amp != 0.0 {
@@ -1093,6 +1106,99 @@ mod tests {
         for v in dx.iter().chain(&dy).chain(&dz) {
             assert!(v.abs() < 1e-12);
         }
+    }
+
+    /// The initial projection one component at a time: `f` evaluated
+    /// per component, each mass system solved by its own three-dot PCG.
+    fn set_initial_per_component(
+        s: &mut NektarAle,
+        comm: &mut Comm,
+        f: impl Fn([f64; 3]) -> [f64; 3],
+    ) {
+        let op = &s.vel_op.op1;
+        let nq = op.basis.nquad();
+        for c in 0..3 {
+            let mut rhs = vec![0.0; s.vel_op.nlocal()];
+            for (le, &e) in s.vel_op.my_elems.iter().enumerate() {
+                let (lo, _) = elem_box(&s.mesh, e).expect("box");
+                let [hx, hy, hz] = s.vel_op.scales[le];
+                let jac = hx * hy * hz / 8.0;
+                let mut fq = vec![0.0; nq * nq * nq];
+                for qz in 0..nq {
+                    for qy in 0..nq {
+                        for qx in 0..nq {
+                            let x = [
+                                lo[0] + hx * (op.basis.z[qx] + 1.0) / 2.0,
+                                lo[1] + hy * (op.basis.z[qy] + 1.0) / 2.0,
+                                lo[2] + hz * (op.basis.z[qz] + 1.0) / 2.0,
+                            ];
+                            fq[qx + qy * nq + qz * nq * nq] = f(x)[c]
+                                * op.basis.w[qx]
+                                * op.basis.w[qy]
+                                * op.basis.w[qz]
+                                * jac;
+                        }
+                    }
+                }
+                let proj = quad_to_modal(op, &fq);
+                for (m, &l) in s.vel_op.elem_local[le].iter().enumerate() {
+                    rhs[l] += proj[m];
+                }
+            }
+            s.vel_op.gs.exchange(comm, &mut rhs, ReduceOp::Sum);
+            let mut x = vec![0.0; s.vel_op.nlocal()];
+            crate::hex3d::reference::pcg_three_dot(
+                &s.mass_op,
+                comm,
+                &rhs,
+                &mut x,
+                s.cfg.pcg_tol,
+                s.cfg.pcg_max_iter,
+                &mut Recorder::disabled(),
+            );
+            s.u[c] = x;
+        }
+    }
+
+    fn one_pass_initial_matches_per_component(p: usize) {
+        use nkt_ckpt::Checkpointable;
+        let mesh = small_mesh();
+        let part = partition_for(&mesh, p);
+        let field = |x: [f64; 3]| {
+            let v = psi_field(x);
+            [v[0], v[1], (std::f64::consts::PI * x[0]).sin() * x[1] * (1.0 - x[2])]
+        };
+        let out = run(p, cluster(NetId::T3e), |c| {
+            let mut one = NektarAle::new(c, mesh.clone(), &part, cfg());
+            one.set_initial(c, field);
+            let mut per = NektarAle::new(c, mesh.clone(), &part, cfg());
+            set_initial_per_component(&mut per, c, field);
+            let bitwise = one
+                .u
+                .iter()
+                .zip(&per.u)
+                .all(|(a, b)| a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()));
+            (one.state_hash(), per.state_hash(), bitwise)
+        });
+        for (rank, &(h1, h2, bitwise)) in out.iter().enumerate() {
+            assert!(bitwise, "P={p} rank {rank}: velocity differs");
+            assert_eq!(h1, h2, "P={p} rank {rank}: state hash differs");
+        }
+    }
+
+    #[test]
+    fn one_pass_initial_matches_per_component_one_rank() {
+        one_pass_initial_matches_per_component(1);
+    }
+
+    #[test]
+    fn one_pass_initial_matches_per_component_two_ranks() {
+        one_pass_initial_matches_per_component(2);
+    }
+
+    #[test]
+    fn one_pass_initial_matches_per_component_four_ranks() {
+        one_pass_initial_matches_per_component(4);
     }
 
     #[test]

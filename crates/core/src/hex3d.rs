@@ -34,9 +34,20 @@ pub struct Oper1d {
     pub basis: Basis1d,
 }
 
+/// Highest polynomial order the hex solver supports: the elemental
+/// kernel [`apply_elem_coef`] is instantiated for P = 1..=`MAX_ORDER`.
+pub const MAX_ORDER: usize = 8;
+
 impl Oper1d {
     /// Builds the order-`p` 1-D operators.
+    ///
+    /// # Panics
+    /// Panics unless 1 ≤ `p` ≤ [`MAX_ORDER`].
     pub fn new(p: usize) -> Oper1d {
+        assert!(
+            (1..=MAX_ORDER).contains(&p),
+            "hex3d supports polynomial orders 1..={MAX_ORDER}, got {p}"
+        );
         let basis = Basis1d::with_gll(p);
         let nm = p + 1;
         let nq = basis.nquad();
@@ -339,6 +350,9 @@ pub struct HexHelmholtz {
 impl HexHelmholtz {
     /// Builds the distributed operator. Collective. `part[e]` gives the
     /// owning rank per element (from `nkt-partition`).
+    ///
+    /// # Panics
+    /// Panics unless the numbering's order is in 1..=[`MAX_ORDER`].
     pub fn new(
         comm: &mut Comm,
         mesh: &Mesh3d,
@@ -587,20 +601,25 @@ impl HexHelmholtz {
         }
     }
 
-    /// Global (deduplicated) dot product. Collective.
-    pub fn dot(&self, comm: &mut Comm, a: &[f64], b: &[f64]) -> f64 {
+    /// This rank's share of the global (deduplicated) dot product.
+    fn local_dot(&self, a: &[f64], b: &[f64]) -> f64 {
         let mut s = 0.0;
         for i in 0..a.len() {
             s += self.weight[i] * a[i] * b[i];
         }
-        let mut buf = [s];
+        s
+    }
+
+    /// Global (deduplicated) dot product. Collective.
+    pub fn dot(&self, comm: &mut Comm, a: &[f64], b: &[f64]) -> f64 {
+        let mut buf = [self.local_dot(a, b)];
         comm.allreduce(&mut buf, ReduceOp::Sum);
         buf[0]
     }
 
-    /// Solves (K + λM) x = b by Jacobi-PCG. `b` must be GS-consistent
-    /// (already summed); `x` enters as the initial guess. Returns the
-    /// iteration count. Collective.
+    /// Solves (K + λM) x = b by Jacobi-PCG: [`HexHelmholtz::pcg_many`]
+    /// with one right-hand side. Returns the iteration count.
+    /// Collective.
     pub fn pcg(
         &self,
         comm: &mut Comm,
@@ -610,55 +629,130 @@ impl HexHelmholtz {
         max_iter: usize,
         rec: &mut Recorder,
     ) -> usize {
+        self.pcg_many(comm, &[b], &mut [x], tol, max_iter, rec)[0]
+    }
+
+    /// Solves (K + λM) xₖ = bₖ for every right-hand side by Jacobi-PCG,
+    /// all in lockstep with fused reductions. Each `bₖ` must be
+    /// GS-consistent (already summed); each `xₖ` enters as its initial
+    /// guess. Returns one iteration count per right-hand side.
+    /// Collective.
+    ///
+    /// The start-up dots b·b, r·z and r·r of every right-hand side travel
+    /// in one allreduce; each iteration then makes one allreduce for the
+    /// active p·Ap values and one for the active r·r and r·z pairs, so a
+    /// call costs 1 + 2·max(iterations) reductions however many systems
+    /// it solves. The reduction is elementwise over the same tree a lone
+    /// [`HexHelmholtz::dot`] uses, so every reduced value, and with it
+    /// every iterate and iteration count, is bitwise what a separate
+    /// solve per right-hand side produces. A system leaves the active set
+    /// when it converges or its p·Ap breaks down (≤ 0). Operator applies
+    /// stay one [`HexHelmholtz::apply`] per active system.
+    pub fn pcg_many(
+        &self,
+        comm: &mut Comm,
+        bs: &[&[f64]],
+        xs: &mut [&mut [f64]],
+        tol: f64,
+        max_iter: usize,
+        rec: &mut Recorder,
+    ) -> Vec<usize> {
+        let k = bs.len();
+        assert_eq!(xs.len(), k, "pcg_many: one initial guess per right-hand side");
         let n = self.nlocal();
-        // Impose Dirichlet values on the iterate and the residual target.
-        let mut bb = b.to_vec();
-        for (l, d) in self.dirichlet.iter().enumerate() {
-            if let Some(v) = *d {
-                x[l] = v;
-                bb[l] = v;
+        // Impose Dirichlet values on the iterates and the residual targets.
+        let mut bb: Vec<Vec<f64>> = bs.iter().map(|b| b.to_vec()).collect();
+        for (b, x) in bb.iter_mut().zip(xs.iter_mut()) {
+            for (l, d) in self.dirichlet.iter().enumerate() {
+                if let Some(v) = *d {
+                    x[l] = v;
+                    b[l] = v;
+                }
             }
         }
-        let mut r = vec![0.0; n];
-        let mut ap = vec![0.0; n];
-        self.apply(comm, x, &mut ap, rec);
-        for i in 0..n {
-            r[i] = bb[i] - ap[i];
+        let mut r = vec![vec![0.0; n]; k];
+        let mut ap = vec![vec![0.0; n]; k];
+        let mut z = vec![vec![0.0; n]; k];
+        let mut red = Vec::with_capacity(3 * k);
+        for c in 0..k {
+            self.apply(comm, xs[c], &mut ap[c], rec);
+            for i in 0..n {
+                r[c][i] = bb[c][i] - ap[c][i];
+                z[c][i] = r[c][i] / self.diag[i];
+            }
+            red.push(self.local_dot(&bb[c], &bb[c]));
+            red.push(self.local_dot(&r[c], &z[c]));
+            red.push(self.local_dot(&r[c], &r[c]));
         }
-        let bnorm = self.dot(comm, &bb, &bb).sqrt().max(1e-300);
-        let mut z: Vec<f64> = r.iter().zip(&self.diag).map(|(ri, di)| ri / di).collect();
+        comm.allreduce(&mut red, ReduceOp::Sum);
+        let mut iters = vec![max_iter; k];
+        let mut bnorm = vec![0.0; k];
+        let mut rz = vec![0.0; k];
+        let mut active = Vec::with_capacity(k);
+        for c in 0..k {
+            bnorm[c] = red[3 * c].sqrt().max(1e-300);
+            rz[c] = red[3 * c + 1];
+            if red[3 * c + 2].sqrt() / bnorm[c] <= tol {
+                iters[c] = 0;
+            } else {
+                active.push(c);
+            }
+        }
         let mut pv = z.clone();
-        let mut rz = self.dot(comm, &r, &z);
-        let mut rnorm = self.dot(comm, &r, &r).sqrt();
-        if rnorm / bnorm <= tol {
-            return 0;
-        }
         for it in 1..=max_iter {
-            self.apply(comm, &pv, &mut ap, rec);
-            let pap = self.dot(comm, &pv, &ap);
-            if pap <= 0.0 {
-                return it;
+            if active.is_empty() {
+                break;
             }
-            let alpha = rz / pap;
-            for i in 0..n {
-                x[i] += alpha * pv[i];
-                r[i] -= alpha * ap[i];
+            red.clear();
+            for &c in &active {
+                self.apply(comm, &pv[c], &mut ap[c], rec);
+                red.push(self.local_dot(&pv[c], &ap[c]));
             }
-            rnorm = self.dot(comm, &r, &r).sqrt();
-            if rnorm / bnorm <= tol {
-                return it;
+            comm.allreduce(&mut red, ReduceOp::Sum);
+            let mut still = Vec::with_capacity(active.len());
+            for (&c, &pap) in active.iter().zip(&red) {
+                if pap <= 0.0 {
+                    iters[c] = it;
+                    continue;
+                }
+                let alpha = rz[c] / pap;
+                let (x, r, p, ap) = (&mut xs[c], &mut r[c], &pv[c], &ap[c]);
+                for i in 0..n {
+                    x[i] += alpha * p[i];
+                    r[i] -= alpha * ap[i];
+                }
+                still.push(c);
             }
-            for i in 0..n {
-                z[i] = r[i] / self.diag[i];
+            active = still;
+            if active.is_empty() {
+                break;
             }
-            let rz2 = self.dot(comm, &r, &z);
-            let beta = rz2 / rz;
-            rz = rz2;
-            for i in 0..n {
-                pv[i] = z[i] + beta * pv[i];
+            red.clear();
+            for &c in &active {
+                for i in 0..n {
+                    z[c][i] = r[c][i] / self.diag[i];
+                }
+                red.push(self.local_dot(&r[c], &r[c]));
+                red.push(self.local_dot(&r[c], &z[c]));
             }
+            comm.allreduce(&mut red, ReduceOp::Sum);
+            let mut still = Vec::with_capacity(active.len());
+            for (&c, rr_rz) in active.iter().zip(red.chunks_exact(2)) {
+                if rr_rz[0].sqrt() / bnorm[c] <= tol {
+                    iters[c] = it;
+                    continue;
+                }
+                let beta = rr_rz[1] / rz[c];
+                rz[c] = rr_rz[1];
+                let (p, z) = (&mut pv[c], &z[c]);
+                for i in 0..n {
+                    p[i] = z[i] + beta * p[i];
+                }
+                still.push(c);
+            }
+            active = still;
         }
-        max_iter
+        iters
     }
 }
 
@@ -697,8 +791,18 @@ pub fn apply_elem(op: &Oper1d, hx: f64, hy: f64, hz: f64, lambda: f64, x: &[f64]
 }
 
 /// [`apply_elem`] with an explicit stiffness coefficient.
+///
+/// The sum-factorized form is four tensor terms — Kx·My·Mz, Mx·Ky·Mz,
+/// Mx·My·Kz (each scaled by `kc`) and λ·Mx·My·Mz — whose shared sweeps
+/// Mx·x and My·Mx·x are computed once. A term with a zero coefficient is
+/// skipped. The kernel is instantiated per order (`P + 1` modes a
+/// direction, P = 1..=[`MAX_ORDER`]) so every loop has a compile-time
+/// trip count and all scratch lives on the stack.
+///
+/// # Panics
+/// Panics if `op.nm` is outside 2..=`MAX_ORDER + 1` or `x`/`y` hold
+/// fewer than `op.nm³` values.
 #[allow(clippy::too_many_arguments)]
-#[allow(clippy::type_complexity)]
 pub fn apply_elem_coef(
     op: &Oper1d,
     hx: f64,
@@ -709,65 +813,280 @@ pub fn apply_elem_coef(
     x: &[f64],
     y: &mut [f64],
 ) {
-    let nm = op.nm;
+    let kernel = match op.nm {
+        2 => apply_elem_fixed::<2>,
+        3 => apply_elem_fixed::<3>,
+        4 => apply_elem_fixed::<4>,
+        5 => apply_elem_fixed::<5>,
+        6 => apply_elem_fixed::<6>,
+        7 => apply_elem_fixed::<7>,
+        8 => apply_elem_fixed::<8>,
+        9 => apply_elem_fixed::<9>,
+        nm => panic!("hex3d supports polynomial orders 1..={MAX_ORDER}, got nm = {nm} modes"),
+    };
+    kernel(op, hx, hy, hz, lambda, kc, x, y);
+}
+
+/// An `N × N` 1-D operator stored by column: `a[col][row]`.
+type Mat<const N: usize> = [[f64; N]; N];
+/// Elemental coefficients `t[k][j][i]` (mode i fastest, as in the local
+/// ordering).
+type Cube<const N: usize> = [[[f64; N]; N]; N];
+
+fn apply_elem_fixed<const N: usize>(
+    op: &Oper1d,
+    hx: f64,
+    hy: f64,
+    hz: f64,
+    lambda: f64,
+    kc: f64,
+    x: &[f64],
+    y: &mut [f64],
+) {
     let (sx, sy, sz) = (hx / 2.0, hy / 2.0, hz / 2.0);
-    let terms: [(&[f64], &[f64], &[f64], f64); 4] = [
-        (&op.stiff, &op.mass, &op.mass, kc * sy * sz / sx),
-        (&op.mass, &op.stiff, &op.mass, kc * sx * sz / sy),
-        (&op.mass, &op.mass, &op.stiff, kc * sx * sy / sz),
-        (&op.mass, &op.mass, &op.mass, lambda * sx * sy * sz),
+    let c = [
+        kc * sy * sz / sx,
+        kc * sx * sz / sy,
+        kc * sx * sy / sz,
+        lambda * sx * sy * sz,
     ];
-    y.fill(0.0);
-    let mut t1 = vec![0.0; nm * nm * nm];
-    let mut t2 = vec![0.0; nm * nm * nm];
-    for (ax, ay, az, c) in terms {
-        if c == 0.0 {
-            continue;
+    let n3 = N * N * N;
+    let mut xc: Cube<N> = [[[0.0; N]; N]; N];
+    for (xk, src) in xc.iter_mut().zip(x[..n3].chunks_exact(N * N)) {
+        for (xj, s) in xk.iter_mut().zip(src.chunks_exact(N)) {
+            xj.copy_from_slice(s);
         }
-        // t1[i', j, k] = sum_i ax[i', i] x[i, j, k]
-        t1.fill(0.0);
-        for kk in 0..nm {
-            for j in 0..nm {
-                let base = j * nm + kk * nm * nm;
-                for i in 0..nm {
-                    let xv = x[i + base];
-                    if xv != 0.0 {
-                        for ip in 0..nm {
-                            t1[ip + base] += ax[ip + i * nm] * xv;
-                        }
+    }
+    let mass = by_column::<N>(&op.mass);
+    let stiff = by_column::<N>(&op.stiff);
+    let mut yc: Cube<N> = [[[0.0; N]; N]; N];
+    // Terms accumulate into y in the fixed order 0..4.
+    if c[0] != 0.0 {
+        let kx = sweep_x(&stiff, &xc);
+        sweep_z(&mass, c[0], &sweep_y(&mass, &kx), &mut yc);
+    }
+    if c[1] != 0.0 || c[2] != 0.0 || c[3] != 0.0 {
+        let mx = sweep_x(&mass, &xc);
+        if c[1] != 0.0 {
+            sweep_z(&mass, c[1], &sweep_y(&stiff, &mx), &mut yc);
+        }
+        if c[2] != 0.0 || c[3] != 0.0 {
+            let mymx = sweep_y(&mass, &mx);
+            if c[2] != 0.0 {
+                sweep_z(&stiff, c[2], &mymx, &mut yc);
+            }
+            if c[3] != 0.0 {
+                sweep_z(&mass, c[3], &mymx, &mut yc);
+            }
+        }
+    }
+    for (dst, yk) in y[..n3].chunks_exact_mut(N * N).zip(&yc) {
+        for (d, yj) in dst.chunks_exact_mut(N).zip(yk) {
+            d.copy_from_slice(yj);
+        }
+    }
+}
+
+/// Copies a column-major `N × N` matrix into a stack array.
+fn by_column<const N: usize>(a: &[f64]) -> Mat<N> {
+    let mut m = [[0.0; N]; N];
+    for (col, src) in m.iter_mut().zip(a.chunks_exact(N)) {
+        col.copy_from_slice(src);
+    }
+    m
+}
+
+/// t[k][j][i'] = Σ_i a[i', i] x[k][j][i], skipping zero inputs.
+#[inline]
+fn sweep_x<const N: usize>(a: &Mat<N>, x: &Cube<N>) -> Cube<N> {
+    let mut t = [[[0.0; N]; N]; N];
+    for (tk, xk) in t.iter_mut().zip(x) {
+        for (tj, xj) in tk.iter_mut().zip(xk) {
+            for (col, &xv) in a.iter().zip(xj) {
+                if xv != 0.0 {
+                    for (tv, &av) in tj.iter_mut().zip(col) {
+                        *tv += av * xv;
                     }
                 }
             }
         }
-        // t2[i', j', k] = sum_j ay[j', j] t1[i', j, k]
-        t2.fill(0.0);
-        for kk in 0..nm {
-            for j in 0..nm {
-                for jp in 0..nm {
-                    let a = ay[jp + j * nm];
+    }
+    t
+}
+
+/// t[k][j'][i] = Σ_j a[j', j] s[k][j][i], skipping zero entries of `a`.
+#[inline]
+fn sweep_y<const N: usize>(a: &Mat<N>, s: &Cube<N>) -> Cube<N> {
+    let mut t = [[[0.0; N]; N]; N];
+    for (tk, sk) in t.iter_mut().zip(s) {
+        for (col, sj) in a.iter().zip(sk) {
+            for (tj, &av) in tk.iter_mut().zip(col) {
+                if av != 0.0 {
+                    for (tv, &sv) in tj.iter_mut().zip(sj) {
+                        *tv += av * sv;
+                    }
+                }
+            }
+        }
+    }
+    t
+}
+
+/// y[k'] += Σ_k (a[k', k]·c) s[k], skipping zero scaled entries.
+#[inline]
+fn sweep_z<const N: usize>(a: &Mat<N>, c: f64, s: &Cube<N>, y: &mut Cube<N>) {
+    for (col, sk) in a.iter().zip(s) {
+        for (yk, &av) in y.iter_mut().zip(col) {
+            let av = av * c;
+            if av != 0.0 {
+                for (yj, sj) in yk.iter_mut().zip(sk) {
+                    for (yv, &sv) in yj.iter_mut().zip(sj) {
+                        *yv += av * sv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Test-only copies of the elemental kernel and PCG as they were before
+/// the fixed-order kernel and the lockstep PCG: the references the
+/// bitwise-equality tests compare against.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    /// The runtime-sized sum-factorized kernel: four tensor terms, three
+    /// sweeps each, heap scratch.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn apply_elem_coef_runtime(
+        op: &Oper1d,
+        hx: f64,
+        hy: f64,
+        hz: f64,
+        lambda: f64,
+        kc: f64,
+        x: &[f64],
+        y: &mut [f64],
+    ) {
+        let nm = op.nm;
+        let (sx, sy, sz) = (hx / 2.0, hy / 2.0, hz / 2.0);
+        let terms: [(&[f64], &[f64], &[f64], f64); 4] = [
+            (&op.stiff, &op.mass, &op.mass, kc * sy * sz / sx),
+            (&op.mass, &op.stiff, &op.mass, kc * sx * sz / sy),
+            (&op.mass, &op.mass, &op.stiff, kc * sx * sy / sz),
+            (&op.mass, &op.mass, &op.mass, lambda * sx * sy * sz),
+        ];
+        y.fill(0.0);
+        let mut t1 = vec![0.0; nm * nm * nm];
+        let mut t2 = vec![0.0; nm * nm * nm];
+        for (ax, ay, az, c) in terms {
+            if c == 0.0 {
+                continue;
+            }
+            t1.fill(0.0);
+            for kk in 0..nm {
+                for j in 0..nm {
+                    let base = j * nm + kk * nm * nm;
+                    for i in 0..nm {
+                        let xv = x[i + base];
+                        if xv != 0.0 {
+                            for ip in 0..nm {
+                                t1[ip + base] += ax[ip + i * nm] * xv;
+                            }
+                        }
+                    }
+                }
+            }
+            t2.fill(0.0);
+            for kk in 0..nm {
+                for j in 0..nm {
+                    for jp in 0..nm {
+                        let a = ay[jp + j * nm];
+                        if a != 0.0 {
+                            let src = j * nm + kk * nm * nm;
+                            let dst = jp * nm + kk * nm * nm;
+                            for ip in 0..nm {
+                                t2[ip + dst] += a * t1[ip + src];
+                            }
+                        }
+                    }
+                }
+            }
+            for kk in 0..nm {
+                for kp in 0..nm {
+                    let a = az[kp + kk * nm] * c;
                     if a != 0.0 {
-                        let src = j * nm + kk * nm * nm;
-                        let dst = jp * nm + kk * nm * nm;
-                        for ip in 0..nm {
-                            t2[ip + dst] += a * t1[ip + src];
+                        let src = kk * nm * nm;
+                        let dst = kp * nm * nm;
+                        for ij in 0..nm * nm {
+                            y[ij + dst] += a * t2[ij + src];
                         }
                     }
                 }
             }
         }
-        // y += c * sum_k az[k', k] t2[i', j', k]
-        for kk in 0..nm {
-            for kp in 0..nm {
-                let a = az[kp + kk * nm] * c;
-                if a != 0.0 {
-                    let src = kk * nm * nm;
-                    let dst = kp * nm * nm;
-                    for ij in 0..nm * nm {
-                        y[ij + dst] += a * t2[ij + src];
-                    }
-                }
+    }
+
+    /// One right-hand side, three separate dot-product allreduces per
+    /// iteration.
+    pub(crate) fn pcg_three_dot(
+        h: &HexHelmholtz,
+        comm: &mut Comm,
+        b: &[f64],
+        x: &mut [f64],
+        tol: f64,
+        max_iter: usize,
+        rec: &mut Recorder,
+    ) -> usize {
+        let n = h.nlocal();
+        let mut bb = b.to_vec();
+        for (l, d) in h.dirichlet.iter().enumerate() {
+            if let Some(v) = *d {
+                x[l] = v;
+                bb[l] = v;
             }
         }
+        let mut r = vec![0.0; n];
+        let mut ap = vec![0.0; n];
+        h.apply(comm, x, &mut ap, rec);
+        for i in 0..n {
+            r[i] = bb[i] - ap[i];
+        }
+        let bnorm = h.dot(comm, &bb, &bb).sqrt().max(1e-300);
+        let mut z: Vec<f64> = r.iter().zip(&h.diag).map(|(ri, di)| ri / di).collect();
+        let mut pv = z.clone();
+        let mut rz = h.dot(comm, &r, &z);
+        let mut rnorm = h.dot(comm, &r, &r).sqrt();
+        if rnorm / bnorm <= tol {
+            return 0;
+        }
+        for it in 1..=max_iter {
+            h.apply(comm, &pv, &mut ap, rec);
+            let pap = h.dot(comm, &pv, &ap);
+            if pap <= 0.0 {
+                return it;
+            }
+            let alpha = rz / pap;
+            for i in 0..n {
+                x[i] += alpha * pv[i];
+                r[i] -= alpha * ap[i];
+            }
+            rnorm = h.dot(comm, &r, &r).sqrt();
+            if rnorm / bnorm <= tol {
+                return it;
+            }
+            for i in 0..n {
+                z[i] = r[i] / h.diag[i];
+            }
+            let rz2 = h.dot(comm, &r, &z);
+            let beta = rz2 / rz;
+            rz = rz2;
+            for i in 0..n {
+                pv[i] = z[i] + beta * pv[i];
+            }
+        }
+        max_iter
     }
 }
 
@@ -802,22 +1121,65 @@ mod tests {
 
     #[test]
     fn apply_elem_matches_entries() {
-        let op = Oper1d::new(3);
-        let nm = op.nm;
-        let n3 = nm * nm * nm;
-        let (hx, hy, hz, lam) = (0.5, 1.0, 2.0, 3.0);
-        let x: Vec<f64> = (0..n3).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let mut y = vec![0.0; n3];
-        apply_elem(&op, hx, hy, hz, lam, &x, &mut y);
-        // Compare against the entrywise definition at a few rows.
-        for &row in &[0usize, 5, 17, n3 - 1] {
-            let (i1, j1, k1) = (row % nm, (row / nm) % nm, row / (nm * nm));
-            let mut s = 0.0;
-            for col in 0..n3 {
-                let (i2, j2, k2) = (col % nm, (col / nm) % nm, col / (nm * nm));
-                s += elem_entry(&op, hx, hy, hz, lam, i1, j1, k1, i2, j2, k2) * x[col];
+        for p in 1..=MAX_ORDER {
+            let op = Oper1d::new(p);
+            let nm = op.nm;
+            let n3 = nm * nm * nm;
+            let (hx, hy, hz, lam) = (0.5, 1.0, 2.0, 3.0);
+            let x: Vec<f64> = (0..n3).map(|i| ((i as f64) * 0.37).sin()).collect();
+            let mut y = vec![0.0; n3];
+            apply_elem(&op, hx, hy, hz, lam, &x, &mut y);
+            // Compare against the entrywise definition at a few rows.
+            for &row in &[0usize, 5 % n3, 17 % n3, n3 / 2, n3 - 1] {
+                let (i1, j1, k1) = (row % nm, (row / nm) % nm, row / (nm * nm));
+                let mut s = 0.0;
+                for col in 0..n3 {
+                    let (i2, j2, k2) = (col % nm, (col / nm) % nm, col / (nm * nm));
+                    s += elem_entry(&op, hx, hy, hz, lam, i1, j1, k1, i2, j2, k2) * x[col];
+                }
+                assert!((y[row] - s).abs() < 1e-10, "P={p} row {row}: {} vs {s}", y[row]);
             }
-            assert!((y[row] - s).abs() < 1e-10, "row {row}: {} vs {s}", y[row]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "supports polynomial orders 1..=8")]
+    fn order_above_max_is_rejected() {
+        Oper1d::new(MAX_ORDER + 1);
+    }
+
+    nkt_testkit::prop_check! {
+        #![cases(96)]
+
+        fn fixed_order_kernel_is_bitwise_the_runtime_sized_one(
+            p in 1usize..9,
+            h in nkt_testkit::vec_in(0.05f64..4.0, 3),
+            lam_pick in 0usize..3,
+            lam in -2.0f64..80.0,
+            kc_pick in 0usize..3,
+            kc in -1.0f64..3.0,
+            seed in 0u64..1_000_000,
+            zero_every in 1usize..6
+        ) {
+            let op = Oper1d::new(p);
+            let n3 = op.nm * op.nm * op.nm;
+            // λ and kc each: exactly zero, exactly one, or drawn.
+            let lam = [0.0, 1.0, lam][lam_pick];
+            let kc = [0.0, 1.0, kc][kc_pick];
+            let mut rng = nkt_testkit::Rng::new(seed);
+            let x: Vec<f64> = (0..n3)
+                .map(|i| if i % zero_every == 0 { 0.0 } else { rng.range_f64(-5.0, 5.0) })
+                .collect();
+            let mut got = vec![f64::NAN; n3];
+            let mut want = vec![f64::NAN; n3];
+            apply_elem_coef(&op, h[0], h[1], h[2], lam, kc, &x, &mut got);
+            reference::apply_elem_coef_runtime(&op, h[0], h[1], h[2], lam, kc, &x, &mut want);
+            for (m, (g, w)) in got.iter().zip(&want).enumerate() {
+                nkt_testkit::prop_assert!(
+                    g.to_bits() == w.to_bits(),
+                    "P={p} mode {m}: {g:e} vs {w:e}"
+                );
+            }
         }
     }
 
@@ -953,6 +1315,122 @@ mod tests {
     #[test]
     fn parallel_poisson_four_ranks() {
         poisson_box_test(4);
+    }
+
+    /// A deterministic value per global dof in [−0.5, 0.5): every rank's
+    /// copy of a shared dof gets the same value, so the vector is already
+    /// GS-consistent.
+    fn gid_value(gid: u64, salt: u64) -> f64 {
+        let mut s = gid.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ salt;
+        nkt_testkit::splitmix64(&mut s) as f64 / u64::MAX as f64 - 0.5
+    }
+
+    /// An order-3 Helmholtz operator on a 3×2×2 box with Dirichlet
+    /// inflow, partitioned over the communicator.
+    fn lockstep_operator(c: &mut Comm) -> HexHelmholtz {
+        let mesh = box_hexes(0.0, 1.5, 0.0, 1.0, 0.0, 1.0, 3, 2, 2);
+        let numbering = HexNumbering::build(&mesh, 3, &[BoundaryTag::Inflow]);
+        let dual = Graph::from_edges(mesh.nelems(), &mesh.dual_edges());
+        let part = partition_kway(&dual, c.size(), &PartitionOptions::default());
+        HexHelmholtz::new(c, &mesh, &numbering, &part, 2.0)
+    }
+
+    /// Three right-hand sides with initial guesses: a rough one from
+    /// zero, a zero one (converged at iteration 0), and a rough one
+    /// warm-started from a loose solve (fewer iterations). Collective.
+    fn lockstep_systems(h: &HexHelmholtz, c: &mut Comm) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let n = h.nlocal();
+        let rough = |salt| h.local_gids.iter().map(|&g| gid_value(g, salt)).collect::<Vec<f64>>();
+        let b2 = rough(2);
+        let mut warm = vec![0.0; n];
+        h.pcg(c, &b2, &mut warm, 1e-3, 500, &mut Recorder::disabled());
+        vec![(rough(1), vec![0.0; n]), (vec![0.0; n], vec![0.0; n]), (b2, warm)]
+    }
+
+    const LOCKSTEP_TOL: f64 = 1e-10;
+
+    fn lockstep_matches_solo(p_ranks: usize) {
+        for overlap in [true, false] {
+            let iters = run(p_ranks, cluster(NetId::T3e), |c| {
+                let mut h = lockstep_operator(c);
+                h.set_gs_overlap(overlap);
+                let systems = lockstep_systems(&h, c);
+                let mut rec = Recorder::disabled();
+                let mut all_iters = Vec::new();
+                for pick in [&[2usize][..], &[1, 0], &[0, 1, 2]] {
+                    let mut want_x = Vec::new();
+                    let mut want_it = Vec::new();
+                    for &s in pick {
+                        let (b, x0) = &systems[s];
+                        let mut x = x0.clone();
+                        let tol = LOCKSTEP_TOL;
+                        let it = reference::pcg_three_dot(&h, c, b, &mut x, tol, 500, &mut rec);
+                        want_it.push(it);
+                        want_x.push(x);
+                    }
+                    let bs: Vec<&[f64]> = pick.iter().map(|&s| systems[s].0.as_slice()).collect();
+                    let mut got_x: Vec<Vec<f64>> =
+                        pick.iter().map(|&s| systems[s].1.clone()).collect();
+                    let mut xs: Vec<&mut [f64]> =
+                        got_x.iter_mut().map(|x| x.as_mut_slice()).collect();
+                    let got_it = h.pcg_many(c, &bs, &mut xs, LOCKSTEP_TOL, 500, &mut rec);
+                    assert_eq!(got_it, want_it, "P={p_ranks} overlap={overlap} rhs {pick:?}");
+                    for (k, (g, w)) in got_x.iter().zip(&want_x).enumerate() {
+                        assert!(
+                            g.iter().zip(w).all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "P={p_ranks} overlap={overlap} rhs {pick:?}: component {k} differs"
+                        );
+                    }
+                    all_iters = got_it;
+                }
+                all_iters
+            });
+            // The set covers a converged-at-start RHS and unequal counts.
+            let it = &iters[0];
+            assert_eq!(it[1], 0, "zero RHS must converge at iteration 0: {it:?}");
+            assert!(it[0] > 0 && it[2] > 0 && it[0] != it[2], "counts should differ: {it:?}");
+        }
+    }
+
+    #[test]
+    fn pcg_many_is_bitwise_solo_pcg_one_rank() {
+        lockstep_matches_solo(1);
+    }
+
+    #[test]
+    fn pcg_many_is_bitwise_solo_pcg_two_ranks() {
+        lockstep_matches_solo(2);
+    }
+
+    #[test]
+    fn pcg_many_is_bitwise_solo_pcg_four_ranks() {
+        lockstep_matches_solo(4);
+    }
+
+    #[test]
+    fn pcg_many_makes_one_plus_two_allreduces_per_iteration() {
+        let _mode = crate::TRACE_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let prev = nkt_trace::mode();
+        if prev < nkt_trace::TraceMode::Counters {
+            nkt_trace::set_mode(nkt_trace::TraceMode::Counters);
+        }
+        let out = run(2, cluster(NetId::T3e), |c| {
+            let h = lockstep_operator(c);
+            let systems = lockstep_systems(&h, c);
+            let bs: Vec<&[f64]> = systems.iter().map(|(b, _)| b.as_slice()).collect();
+            let mut x: Vec<Vec<f64>> = systems.iter().map(|(_, x0)| x0.clone()).collect();
+            let mut xs: Vec<&mut [f64]> = x.iter_mut().map(|v| v.as_mut_slice()).collect();
+            let before = nkt_trace::thread_counter("mpi.coll.allreduce");
+            let iters =
+                h.pcg_many(c, &bs, &mut xs, LOCKSTEP_TOL, 500, &mut Recorder::disabled());
+            (nkt_trace::thread_counter("mpi.coll.allreduce") - before, iters)
+        });
+        nkt_trace::set_mode(prev);
+        for (calls, iters) in out {
+            let longest = *iters.iter().max().expect("three systems");
+            assert!(longest > 0);
+            assert_eq!(calls, 1 + 2 * longest as u64, "iterations {iters:?}");
+        }
     }
 
     #[test]

@@ -39,5 +39,10 @@ pub mod timers;
 pub mod workload;
 
 pub use serial2d::{Serial2dSolver, SolverConfig};
+
+/// Serializes the unit tests that switch the process-wide trace mode, so
+/// one test's `set_mode` cannot silence another's counters mid-run.
+#[cfg(test)]
+pub(crate) static TRACE_MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 pub use splitting::StifflyStable;
 pub use timers::{Stage, StageClock};

@@ -296,6 +296,7 @@ mod tests {
 
     #[test]
     fn replay_trace_spans_tile_the_wall_total() {
+        let _mode = crate::TRACE_MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         nkt_trace::set_mode(nkt_trace::TraceMode::Spans);
         let rec = sample_rec();
         let t = replay(&rec, &machine(MachineId::Muses), &cluster(NetId::T3e), 4);
